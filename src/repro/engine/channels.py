@@ -376,31 +376,37 @@ class Router:
         """Route a :class:`RecordBatch`; returns credit events to yield on.
 
         Hash edges partition the batch by key group in a single pass over
-        its rows and ship one sub-batch per distinct consumer; forward
-        edges ship the batch object unsplit.  Per-channel FIFO order of
-        the rows is preserved.
+        its rows and ship one sub-batch per distinct consumer, each
+        carrying its rows' key-group column so consumers never rehash;
+        forward edges ship the batch object unsplit.  Per-channel FIFO
+        order of the rows is preserved.
         """
         if self.edge.partitioning == "forward":
             return [self.fabric.send(self._target_channel(None), batch)]
         if self.edge.partitioning != "hash":
             raise EngineError(f"unknown partitioning {self.edge.partitioning}")
-        route = self.assignment.route_key
-        buckets = {}
-        for record in batch.records:
-            target = route(record.key)
-            rows = buckets.get(target)
-            if rows is None:
-                buckets[target] = [record]
-            else:
-                rows.append(record)
-        if len(buckets) == 1:
+        assignment = self.assignment
+        groups = batch.key_groups(assignment.num_groups)
+        targets = assignment.route_groups(groups)
+        if targets and targets.count(targets[0]) == len(targets):
             # One consumer owns every row: ship the original batch object
-            # (its metadata is already computed).
-            target = next(iter(buckets))
-            return [self.fabric.send(self._target_channel(target), batch)]
+            # (its metadata and key-group column are already computed).
+            return [self.fabric.send(self._target_channel(targets[0]), batch)]
+        buckets = {}  # target -> (rows, their key groups)
+        for record, group, target in zip(batch.records, groups, targets):
+            bucket = buckets.get(target)
+            if bucket is None:
+                buckets[target] = ([record], [group])
+            else:
+                bucket[0].append(record)
+                bucket[1].append(group)
+        num_groups = assignment.num_groups
         return [
-            self.fabric.send(self._target_channel(target), RecordBatch(rows))
-            for target, rows in buckets.items()
+            self.fabric.send(
+                self._target_channel(target),
+                RecordBatch(rows, (num_groups, rows_groups)),
+            )
+            for target, (rows, rows_groups) in buckets.items()
         ]
 
     def _target_channel(self, target):

@@ -385,54 +385,51 @@ class OperatorInstance(InstanceBase):
         """Drain one inbound batch: filter, process, charge CPU once.
 
         The per-batch analogue of :meth:`_handle_record`: replay
-        deduplication and ownership checks stay per-record (their
-        semantics are per-record), but the logic call, the CPU charge,
+        deduplication stays per-record (its semantics are per-record);
+        ownership is one range test over the batch's key-group column,
+        falling back to per-row checks only when the batch straddles an
+        ownership gap; the logic call, the CPU charge, the latency samples
         and the downstream emission happen once per batch.
         """
-        records = batch.records
         if self.replay_filter is not None:
             should_process = self.replay_filter.should_process
-            kept = [r for r in records if should_process(r)]
-            self.records_skipped += len(records) - len(kept)
-            if not kept:
-                return
-            records = kept
-        if self.state is not None and self.state.store.owned is not None:
-            owns = self.state.store.owns
-            num_groups = self.job.config.num_key_groups
-            misroute = self.job.misroute_handler
-            owned = []
-            # A batch's rows hit few distinct key groups; memoize the
-            # RangeSet lookup per group for the length of this batch.
-            owns_cache = {}
-            for record in records:
-                group = key_group_of(record.key, num_groups)
-                is_owned = owns_cache.get(group)
-                if is_owned is None:
-                    is_owned = owns_cache[group] = owns(group)
-                if is_owned:
-                    owned.append(record)
-                elif misroute is not None:
-                    # Transient misrouting: Megaphone's fluid migration
-                    # hands the record to its new owner; otherwise (an
-                    # aborted handover's epoch boundary) it is dropped and
-                    # recovered by the abort's replay.
-                    misroute(self, record)
-                else:
-                    self.records_misrouted += 1
-            if not owned:
-                return
-            records = owned
-        work = batch if records is batch.records else RecordBatch(records)
+            keep = [should_process(r) for r in batch.records]
+            skipped = keep.count(False)
+            if skipped:
+                self.records_skipped += skipped
+                if skipped == len(keep):
+                    return
+                batch = batch.subset(keep)
+        store = self.state.store if self.state is not None else None
+        if store is not None and store.owned is not None:
+            groups = batch.key_groups(self.job.config.num_key_groups)
+            if not store.owns_all(groups):
+                keep = [store.owns(group) for group in groups]
+                misroute = self.job.misroute_handler
+                for record, is_owned in zip(batch.records, keep):
+                    if is_owned:
+                        continue
+                    if misroute is not None:
+                        # Transient misrouting: Megaphone's fluid migration
+                        # hands the record to its new owner; otherwise (an
+                        # aborted handover's epoch boundary) it is dropped
+                        # and recovered by the abort's replay.
+                        misroute(self, record)
+                    else:
+                        self.records_misrouted += 1
+                if not any(keep):
+                    return
+                batch = batch.subset(keep)
+        records = batch.records
         side = channel.input_index if channel is not None else 0
-        outputs = self.logic.process_batch(work, side=side)
-        cost = work.total_weight * self.op.cpu_per_record
+        outputs = self.logic.process_batch(batch, side=side)
+        cost = batch.total_weight * self.op.cpu_per_record
         if cost > 0:
             yield from self.machine.compute(cost)
         self.records_processed += len(records)
-        self.weighted_records_processed += work.total_weight
-        if work.max_timestamp > self.last_record_ts:
-            self.last_record_ts = work.max_timestamp
+        self.weighted_records_processed += batch.total_weight
+        if batch.max_timestamp > self.last_record_ts:
+            self.last_record_ts = batch.max_timestamp
         origin_progress = self.origin_progress
         for record in records:
             # Rows arrive in per-origin timestamp order, so the last write
@@ -441,11 +438,16 @@ class OperatorInstance(InstanceBase):
                 origin_progress[record.origin] = record.timestamp
         if self.op.measure_latency:
             now = self.sim.now
-            sample = self.job.metrics.sample_latency
-            op_name = self.op.name
-            for record in records:
-                if not self._is_recovery_reprocessing(record):
-                    sample(now, now - record.timestamp, op_name, record.weight)
+            reprocessing = self._is_recovery_reprocessing
+            self.job.metrics.sample_latency_batch(
+                now,
+                [
+                    (now - record.timestamp, record.weight)
+                    for record in records
+                    if not reprocessing(record)
+                ],
+                self.op.name,
+            )
         if outputs:
             if not isinstance(outputs, RecordBatch):
                 outputs = RecordBatch(

@@ -40,6 +40,23 @@ class LatencySeries:
             self.samples = self.samples[::2]
             self._stride *= 2
 
+    def record_many(self, time, samples):
+        """Add ``(latency, weight)`` samples taken at ``time``, in order.
+
+        Identical to one :meth:`record` call per sample; while no sample
+        would be skipped or trigger downsampling, the rows are appended
+        in one step.
+        """
+        fits = len(self.samples) + len(samples) < self.max_samples
+        if self._stride == 1 and fits:
+            self._counter += len(samples)
+            self.samples.extend(
+                [(time, latency, weight) for latency, weight in samples]
+            )
+            return
+        for latency, weight in samples:
+            self.record(time, latency, weight)
+
     def window(self, start=None, end=None):
         """Samples within [start, end]."""
         lo = 0 if start is None else bisect.bisect_left(self.samples, (start, -1.0))
@@ -120,3 +137,17 @@ class JobMetrics:
         if series is None:
             series = self.latency_by_operator[operator_name] = LatencySeries()
         series.record(time, latency, weight)
+
+    def sample_latency_batch(self, time, samples, operator_name):
+        """Record ``(latency, weight)`` samples all taken at ``time``.
+
+        Each series receives the same samples in the same order as one
+        :meth:`sample_latency` call per sample would give it.
+        """
+        if not samples:
+            return
+        series = self.latency_by_operator.get(operator_name)
+        if series is None:
+            series = self.latency_by_operator[operator_name] = LatencySeries()
+        self.latency.record_many(time, samples)
+        series.record_many(time, samples)

@@ -270,24 +270,33 @@ class StatefulCounterLogic(OperatorLogic):
     def process_batch(self, batch, side=0):
         """Batched read-modify-write: one state lookup per distinct key.
 
-        Repeated keys inside the batch read from a local cache instead of
-        the LSM store; every intermediate version is still written through
+        Key groups come from the batch's column; every distinct key is
+        read once, up front, with one
+        :meth:`~repro.engine.state.KeyedStateBackend.get_many` call (no
+        write of this batch is visible before ``put_batch``, so reading
+        first equals reading on first use).  Repeated keys then count on
+        from a local cache, and every intermediate version is still
+        written through
         :meth:`~repro.engine.state.KeyedStateBackend.put_batch`, so the
         resulting state entries (values, sequence numbers, byte
         accounting) are bit-identical to the per-record path.
         """
         state = self.ctx.state
-        key_group = self.ctx.key_group
+        records = batch.records
+        groups = batch.key_groups(self.ctx.num_key_groups)
+        cache = {}
+        for group, record in zip(groups, records):
+            cache.setdefault((group, record.key), None)
+        current = state.get_many(
+            [group for group, _key in cache], [key for _group, key in cache]
+        )
+        for composite, value in zip(cache, current):
+            cache[composite] = value or 0
         outputs = []
         puts = []
-        cache = {}
-        for record in batch.records:
-            group = key_group(record.key)
+        for group, record in zip(groups, records):
             composite = (group, record.key)
-            current = cache.get(composite)
-            if current is None:
-                current = state.get(group, record.key) or 0
-            updated = current + record.weight
+            updated = cache[composite] + record.weight
             cache[composite] = updated
             puts.append((group, record.key, updated, record.nbytes))
             outputs.append(

@@ -97,6 +97,11 @@ class KeyGroupAssignment:
         """Instance index a key routes to."""
         return self._owner[key_group_of(key, self.num_groups)]
 
+    def route_groups(self, groups):
+        """Instance index of each key group in ``groups``, in order."""
+        owner = self._owner
+        return [owner[group] for group in groups]
+
     def reassign(self, lo, hi, new_owner):
         """Move key groups [lo, hi) to ``new_owner``."""
         if not 0 <= lo < hi <= self.num_groups:

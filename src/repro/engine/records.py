@@ -9,6 +9,10 @@ Megaphone's per-record rerouting all use them), but every internal hot
 path moves batches.
 """
 
+import itertools
+
+from repro.engine.partitioning import key_group_of
+
 
 class Record:
     """One stream record r = (k, t, a) following Fernandez et al.'s model.
@@ -54,7 +58,7 @@ class RecordBatch:
     Ray Data's pull-based operators): one fabric element, one credit
     check, one gate-queue entry, and one ``process_batch`` call per batch
     instead of per record.  Alongside the row view (``records``) the batch
-    carries columnar-ish batch-level metadata computed once at build time:
+    carries batch-level metadata computed once at build time:
 
     * ``nbytes`` -- total modeled wire bytes (credit accounting is in
       bytes per batch);
@@ -63,19 +67,35 @@ class RecordBatch:
     * ``min_timestamp`` / ``max_timestamp`` -- the batch's event-time
       span, usable as watermark metadata without touching the rows.
 
+    Its one column is the rows' key groups (:meth:`key_groups`), so a
+    record's key is hashed once on its way through a hash edge, the
+    consuming instance's ownership check, keyed logic and the state
+    store.  A router splitting a batch hands each sub-batch the groups it
+    already computed; any other batch computes the column on first use.
+
     **Marker alignment rule:** a batch holds records only -- watermarks
     and aligned markers are always separate stream elements, so a batch
     never straddles a checkpoint barrier or handover marker and epoch
     alignment (§4.1.1) is untouched by batching.
 
-    Batches are immutable after construction; producers that need a
-    subset build a new batch over the filtered rows.
+    Batches are immutable after construction (the key-group column is
+    derived from the rows and only memoized); producers that need a
+    subset build a new batch over the filtered rows (:meth:`subset`).
     """
 
-    __slots__ = ("records", "nbytes", "total_weight", "min_timestamp", "max_timestamp")
+    __slots__ = (
+        "records",
+        "nbytes",
+        "total_weight",
+        "min_timestamp",
+        "max_timestamp",
+        "_key_groups",
+    )
 
-    def __init__(self, records):
+    def __init__(self, records, key_groups=None):
+        """``key_groups``: optional ``(num_groups, groups)`` column, row-aligned."""
         self.records = records
+        self._key_groups = key_groups
         nbytes = 0
         weight = 0
         min_ts = float("inf")
@@ -98,17 +118,30 @@ class RecordBatch:
     def __iter__(self):
         return iter(self.records)
 
-    def keys(self):
-        """Column view: the records' partitioning keys, in row order."""
-        return [record.key for record in self.records]
+    def key_groups(self, num_groups):
+        """Column: each row's key group under ``num_groups``, in row order.
 
-    def timestamps(self):
-        """Column view: the records' event-time timestamps, in row order."""
-        return [record.timestamp for record in self.records]
+        Computed at most once per batch (per ``num_groups``) and shared by
+        every reader.
+        """
+        column = self._key_groups
+        if column is None or column[0] != num_groups:
+            column = self._key_groups = (
+                num_groups,
+                [key_group_of(record.key, num_groups) for record in self.records],
+            )
+        return column[1]
 
-    def payloads(self):
-        """Column view: the records' value attributes, in row order."""
-        return [record.value for record in self.records]
+    def subset(self, keep):
+        """A batch of the rows whose ``keep`` flag is true.
+
+        The key-group column, if computed, travels with the kept rows.
+        """
+        records = list(itertools.compress(self.records, keep))
+        column = self._key_groups
+        if column is not None:
+            column = (column[0], list(itertools.compress(column[1], keep)))
+        return RecordBatch(records, column)
 
     @property
     def total_bytes(self):

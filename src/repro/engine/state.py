@@ -41,6 +41,10 @@ class KeyedStateBackend:
         """Resolved value for the key, or None."""
         return self.store.get(group, key)
 
+    def get_many(self, groups, keys):
+        """Resolved values for the rows ``(groups[i], keys[i])``."""
+        return self.store.get_many(groups, keys)
+
     def put(self, group, key, value, nbytes=None):
         """Write a key-value pair."""
         self.store.put(group, key, value, nbytes=nbytes)

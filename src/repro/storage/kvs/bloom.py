@@ -12,6 +12,25 @@ import zlib
 from repro.common.rng import stable_hash
 
 
+def _hashes(key):
+    """The double-hashing pair of an arbitrary key."""
+    return stable_hash(key), zlib.adler32(repr(key).encode("utf-8")) or 1
+
+
+def composite_hashes(group, key_repr):
+    """The hash pair of the composite ``(group, key)`` given ``repr(key)``.
+
+    Byte-identical to ``_hashes((group, key))``: ``stable_hash`` of a
+    tuple is the crc32 of its ``repr``, and the repr of a pair is
+    ``"(<group>, <key>)"``.  LSM lookups serialize each key once and hand
+    the result to every table they probe; building from ``repr(key)``
+    also keeps composite tuples out of the ``stable_hash`` LRU that key
+    partitioning relies on.
+    """
+    data = ("(%r, %s)" % (group, key_repr)).encode("utf-8")
+    return zlib.crc32(data), zlib.adler32(data) or 1
+
+
 class BloomFilter:
     """A fixed-size bloom filter.
 
@@ -32,22 +51,31 @@ class BloomFilter:
         self._bits = bytearray((self.nbits + 7) // 8)
         self.count = 0
 
-    def _positions(self, key):
-        h1 = stable_hash(key)
-        h2 = zlib.adler32(repr(key).encode("utf-8")) or 1
-        for i in range(self.nhashes):
-            yield (h1 + i * h2) % self.nbits
-
     def add(self, key):
         """Insert a key."""
-        for pos in self._positions(key):
-            self._bits[pos // 8] |= 1 << (pos % 8)
-        self.count += 1
+        self.add_hashes(*_hashes(key))
 
     def __contains__(self, key):
-        return all(
-            self._bits[pos // 8] & (1 << (pos % 8)) for pos in self._positions(key)
-        )
+        return self.contains_hashes(*_hashes(key))
+
+    def add_hashes(self, h1, h2):
+        """Insert a key given its precomputed ``(h1, h2)`` hash pair."""
+        bits = self._bits
+        nbits = self.nbits
+        for i in range(self.nhashes):
+            pos = (h1 + i * h2) % nbits
+            bits[pos >> 3] |= 1 << (pos & 7)
+        self.count += 1
+
+    def contains_hashes(self, h1, h2):
+        """Membership test given a precomputed ``(h1, h2)`` hash pair."""
+        bits = self._bits
+        nbits = self.nbits
+        for i in range(self.nhashes):
+            pos = (h1 + i * h2) % nbits
+            if not bits[pos >> 3] & (1 << (pos & 7)):
+                return False
+        return True
 
     @property
     def size_bytes(self):

@@ -11,6 +11,7 @@ from repro.storage.kvs.memtable import (
     item_order,
     order_key,
 )
+from repro.storage.kvs.bloom import composite_hashes
 from repro.storage.kvs.sstable import GroupSlice, SSTable
 from repro.storage.kvs.checkpoint import Checkpoint, CheckpointManifest
 
@@ -68,6 +69,21 @@ class LSMStore:
             cached = self._owns_cache[group] = group in self.owned
         return cached
 
+    def owns_all(self, groups):
+        """True when this store serves every key group in ``groups``.
+
+        One range test over ``[min, max]`` answers for the whole batch --
+        rows routed to one consumer sit in its owned ranges by
+        construction.  Only a batch whose span straddles an ownership gap
+        falls back to the per-group :meth:`owns`.
+        """
+        if self.owned is None or not groups:
+            return True
+        if self.owned.contains_range(min(groups), max(groups) + 1):
+            return True
+        owns = self.owns
+        return all(owns(group) for group in set(groups))
+
     def _check_owned(self, group):
         if not self.owns(group):
             raise StorageError(
@@ -116,16 +132,18 @@ class LSMStore:
     def put_batch(self, items):
         """Write a batch of ``(group, key, value, nbytes)`` rows at once.
 
-        One ownership check per distinct group and one memtable call for
-        the whole batch; sequence numbers are assigned per row exactly as
+        One ownership check for the batch (:meth:`owns_all`) and one
+        memtable call; sequence numbers are assigned per row exactly as
         ``put`` would, so state contents are bit-identical to the
         per-record path.
         """
         if not items:
             return
         if self.owned is not None:
-            for group in {item[0] for item in items}:
-                self._check_owned(group)
+            groups = {item[0] for item in items}
+            if not self.owns_all(groups):
+                for group in groups:
+                    self._check_owned(group)
         first_seq = self._seq + 1
         self._seq += len(items)
         self.memtable.put_batch(items, first_seq)
@@ -148,15 +166,41 @@ class LSMStore:
         """Resolved value for (group, key), or None if absent/deleted."""
         if not self.owns(group):
             return None
+        return self._resolve(group, key)
+
+    def get_many(self, groups, keys):
+        """Resolved values for the rows ``(groups[i], keys[i])``.
+
+        Equal to ``[get(g, k) for g, k in zip(groups, keys)]`` with one
+        ownership check for the whole batch when it falls inside the
+        owned ranges.
+        """
+        if self.owns_all(groups):
+            resolve = self._resolve
+            return [resolve(group, key) for group, key in zip(groups, keys)]
+        get = self.get
+        return [get(group, key) for group, key in zip(groups, keys)]
+
+    def _resolve(self, group, key):
+        """Fold the key's versions newest-first: memtable, then tables.
+
+        The key is serialized at most once: when the memtable does not
+        settle the value, its order key and bloom hashes are computed once
+        and handed to every table probed.
+        """
         operands = []  # newest-first MERGE lists
-        entry = self.memtable.get(group, key)
+        entry = self.memtable.entries.get((group, key))
         base, stopped = self._inspect(entry, operands)
-        if not stopped:
+        if not stopped and self.tables:
+            key_repr = repr(key)
+            order = (group, key_repr)
+            hashes = composite_hashes(group, key_repr)
             for table in reversed(self.tables):
-                entry = table.get(group, key)
-                base, stopped = self._inspect(entry, operands)
-                if stopped:
-                    break
+                entry = table.get(group, key, order, hashes)
+                if entry is not None:
+                    base, stopped = self._inspect(entry, operands)
+                    if stopped:
+                        break
         return self._fold(base, operands)
 
     @staticmethod

@@ -6,7 +6,7 @@ import zlib
 
 from repro.common.errors import CorruptionError
 from repro.common.ranges import RangeSet
-from repro.storage.kvs.bloom import BloomFilter
+from repro.storage.kvs.bloom import BloomFilter, composite_hashes
 from repro.storage.kvs.memtable import TOMBSTONE, order_key
 
 _table_ids = itertools.count(1)
@@ -62,9 +62,11 @@ class SSTable:
         self.group_bytes = {}
         for (group, _key), entry in zip(self.keys, self.entries):
             self.group_bytes[group] = self.group_bytes.get(group, 0) + entry.nbytes
+        # The cached order key already holds ``repr(key)``: hash from it
+        # rather than serializing every composite again.
         self.bloom = BloomFilter(len(self.keys) or 1)
-        for composite in self.keys:
-            self.bloom.add(composite)
+        for group, key_repr in self._order:
+            self.bloom.add_hashes(*composite_hashes(group, key_repr))
         self.min_key = self.keys[0] if self.keys else None
         self.max_key = self.keys[-1] if self.keys else None
         #: Newest sequence number in the run -- lets dirty-chunk tracking
@@ -89,20 +91,27 @@ class SSTable:
     def __len__(self):
         return len(self.keys)
 
-    def get(self, group, key):
-        """Point lookup; returns the Entry or None."""
+    def get(self, group, key, order=None, hashes=None):
+        """Point lookup; returns the Entry or None.
+
+        ``order`` (the composite's :func:`order_key`) and ``hashes`` (its
+        :func:`composite_hashes` pair) let a caller probing several tables
+        serialize the key once; both are computed here when omitted.
+        """
         if not self.keys:
             return None
-        composite = (group, key)
-        order = order_key(composite)
+        if order is None:
+            order = order_key((group, key))
         # Range pruning: a composite outside [min, max] cannot be in the
         # run, so skip it before paying the bloom probe.
         if order < self._order[0] or order > self._order[-1]:
             return None
-        if composite not in self.bloom:
+        if hashes is None:
+            hashes = composite_hashes(group, order[1])
+        if not self.bloom.contains_hashes(*hashes):
             return None
         index = bisect.bisect_left(self._order, order)
-        if index < len(self.keys) and self.keys[index] == composite:
+        if index < len(self.keys) and self.keys[index] == (group, key):
             return self.entries[index]
         return None
 
@@ -190,11 +199,11 @@ class GroupSlice:
         for lo, hi in ranges:
             self.ranges.add(lo, hi)
 
-    def get(self, group, key):
+    def get(self, group, key, order=None, hashes=None):
         """Point lookup; returns the Entry or None."""
         if group not in self.ranges:
             return None
-        return self.table.get(group, key)
+        return self.table.get(group, key, order, hashes)
 
     def iter_groups(self, lo, hi):
         """Yield ((group, key), Entry) for visible entries in [lo, hi)."""

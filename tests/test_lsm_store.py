@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from repro.common.errors import StorageError
 from repro.common.ranges import RangeSet
 from repro.storage.kvs import LSMStore
+from repro.storage.kvs.sstable import GroupSlice
 
 
 @pytest.fixture
@@ -395,3 +396,112 @@ class TestModelEquivalence:
         for group in range(8):
             for key in range(6):
                 assert restored.get(group, key) == store.get(group, key)
+
+
+#: Keys of mixed types, including ones equal across types (1 and 1.0).
+MIXED_KEYS = [0, 1, 1.0, -3, "k", "1", (1, "a"), 2.5]
+#: Owned groups are [0, 6) and [9, 16): a hole at [6, 9).
+OWNED = [(0, 6), (9, 16)]
+
+history_ops = st.lists(
+    st.tuples(
+        st.sampled_from(["put", "append", "delete"]),
+        st.integers(min_value=0, max_value=15),
+        st.sampled_from(MIXED_KEYS),
+        st.integers(min_value=0, max_value=99),
+    ),
+    min_size=1,
+    max_size=25,
+)
+
+
+def apply_history(store, ops):
+    for op, group, key, value in ops:
+        if op == "put":
+            store.put(group, key, value, nbytes=10)
+        elif op == "append":
+            store.append(group, key, value, nbytes=10)
+        else:
+            store.delete(group, key)
+
+
+def store_with_history(segments, slice_ops, slice_range):
+    """Three flushed tables, an ingested GroupSlice, then a live memtable."""
+    store = LSMStore(
+        "multi-get",
+        memtable_limit=10**9,
+        compaction_trigger=100,
+        owned=RangeSet([(0, 16)]),
+    )
+    for ops in segments[:3]:
+        apply_history(store, ops)
+        store.flush()
+    origin = LSMStore("origin")
+    apply_history(origin, slice_ops)
+    origin.flush()
+    store.ingest_tables(origin.tables, ranges=[slice_range])
+    apply_history(store, segments[3])
+    store.drop_groups(6, 9)
+    assert list(store.owned) == OWNED
+    return store
+
+
+class TestGetMany:
+    @settings(max_examples=80, deadline=None)
+    @given(
+        segments=st.lists(history_ops, min_size=4, max_size=4),
+        slice_ops=history_ops,
+        slice_lo=st.integers(min_value=0, max_value=14),
+        slice_width=st.integers(min_value=1, max_value=8),
+        rows=st.lists(
+            st.tuples(
+                st.sampled_from(["owned", "unowned", "straddling"]),
+                st.integers(min_value=0, max_value=15),
+                st.sampled_from(MIXED_KEYS),
+            ),
+            max_size=30,
+        ),
+        kind=st.sampled_from(["owned", "unowned", "straddling"]),
+    )
+    def test_get_many_equals_get(
+        self, segments, slice_ops, slice_lo, slice_width, rows, kind
+    ):
+        store = store_with_history(
+            segments, slice_ops, (slice_lo, min(16, slice_lo + slice_width))
+        )
+        assert len(store.tables) >= 4
+        assert any(isinstance(t, GroupSlice) for t in store.tables)
+        groups, keys = [], []
+        for _kind, group, key in rows:
+            if kind == "owned":
+                group %= 6  # inside one owned range: the fast path
+            elif kind == "unowned":
+                group = 6 + group % 3  # inside the hole
+            groups.append(group)
+            keys.append(key)
+        if kind == "straddling":
+            # Span the hole so the range test fails and rows fall back.
+            groups += [0, 15]
+            keys += [MIXED_KEYS[0], MIXED_KEYS[1]]
+            assert not store.owned.contains_range(min(groups), max(groups) + 1)
+        expected = [store.get(g, k) for g, k in zip(groups, keys)]
+        assert store.get_many(groups, keys) == expected
+
+    def test_owns_all(self):
+        store = LSMStore("owns", owned=RangeSet(OWNED))
+        assert store.owns_all([])
+        assert store.owns_all([0, 5, 3])
+        assert store.owns_all([0, 5, 9, 15])  # straddles, every group owned
+        assert not store.owns_all([0, 7, 15])
+        assert not store.owns_all([6])
+        assert LSMStore("unrestricted").owns_all([6, 7, 8])
+
+    def test_put_batch_rejects_group_hidden_in_hole(self):
+        store = LSMStore("hole", owned=RangeSet(OWNED))
+        rows = [(0, "a", 1, None), (7, "b", 2, None), (12, "c", 3, None)]
+        with pytest.raises(StorageError, match="key group 7 is not owned"):
+            store.put_batch(rows)
+        assert store.get(0, "a") is None
+        assert store.current_seq == 0
+        store.put_batch([rows[0], rows[2]])
+        assert store.get_many([0, 12, 7], ["a", "c", "b"]) == [1, 3, None]

@@ -1,23 +1,27 @@
-"""Engine data-plane throughput: batched vs per-record record rate.
+"""Engine data-plane throughput: records drained per wall second.
 
 Drives the smoke topology (2 sources -> stateful counter (p=2) -> sink)
-over a preloaded log and measures wall-clock to drain it twice: once on
-the batched data plane (``data_plane="batch"``, RecordBatch is the unit
-of transfer) and once on the pre-batching per-record plane
-(``data_plane="record"``).  The two legs must agree on every simulated
-outcome (records processed, final per-key counts); the headline figure is
-``speedup`` -- batched records/sec over per-record records/sec.
+over a preloaded log and measures wall-clock to drain it.  The run must
+reproduce a reference computed from the input: every record processed
+once, each key's final count equal to its number of input records, and
+one sink row per record.
 
-Run standalone (CI perf-smoke uses ``--ci`` with a speedup floor):
+``events_per_record`` -- simulation-kernel events per drained record --
+is deterministic and host-independent: the data plane moves
+:class:`RecordBatch` elements, so it stays well below one, while one
+fabric element per record would cost ~13 events per record.  CI's
+perf-smoke step gates on it with ``--max-events-per-record``.
+
+Run standalone (CI perf-smoke uses ``--ci`` with an events ceiling):
 
     PYTHONPATH=src python benchmarks/bench_engine_throughput.py [--ci]
 
 Results land in ``BENCH_engine.json`` at the repo root:
-``{batch: {...}, record: {...}, speedup}`` -- the engine-throughput
-point of the perf trajectory later PRs regress against.
+``{records, wall_seconds, records_per_sec, events, events_per_record}``.
 """
 
 import argparse
+import collections
 import json
 import pathlib
 import sys
@@ -36,13 +40,12 @@ from repro.engine.records import Record  # noqa: E402
 from repro.sim import Simulator  # noqa: E402
 from repro.storage.log import DurableLog  # noqa: E402
 
-#: Distinct keys per source partition (disjoint ranges across partitions,
-#: so both planes process every key in the same total order).
+#: Distinct keys per source partition (disjoint ranges across partitions).
 KEYS_PER_PARTITION = 64
 
 
-def run_plane(data_plane, records_per_partition):
-    """Drain the smoke topology on one data plane; returns measured facts."""
+def run_drain(records_per_partition):
+    """Drain the smoke topology; returns measured facts and the reference."""
     sim = Simulator()
     cluster = Cluster(sim)
     machines = cluster.add_machines(
@@ -58,11 +61,13 @@ def run_plane(data_plane, records_per_partition):
     )
     log = DurableLog(sim, scheduler=cluster.scheduler)
     log.create_topic("events", 2)
+    expected_counts = collections.Counter()
     for partition in range(2):
         batch = [
             Record((partition, i % KEYS_PER_PARTITION), i * 1e-4, value=i, nbytes=32)
             for i in range(records_per_partition)
         ]
+        expected_counts.update(record.key for record in batch)
         log.append_batch("events", partition, batch)
 
     graph = StreamGraph("engine-throughput")
@@ -77,7 +82,6 @@ def run_plane(data_plane, records_per_partition):
         exchange_interval=0.05,
         watermark_interval=0.5,
         source_idle_timeout=0.1,
-        data_plane=data_plane,
     )
     job = Job(sim, cluster, graph, log, machines, config=config).start()
 
@@ -87,14 +91,14 @@ def run_plane(data_plane, records_per_partition):
     while sum(s.cursor.offset for s in job.source_instances()) < total:
         sim.run(until=sim.now + 5.0)
         if sim.now > deadline:
-            raise AssertionError(f"{data_plane}: log not drained by t={sim.now}")
-    # Let in-flight batches settle so both planes do the complete work.
+            raise AssertionError(f"log not drained by t={sim.now}")
+    # Let in-flight batches settle so the run does the complete work.
     while job.fabric.pending_elements > 0 or (
         sum(i.records_processed for i in job.stateful_instances("count")) < total
     ):
         sim.run(until=sim.now + 1.0)
         if sim.now > 2 * deadline:
-            raise AssertionError(f"{data_plane}: pipeline not drained")
+            raise AssertionError("pipeline not drained")
     wall = time.perf_counter() - start
 
     counts = {}
@@ -110,45 +114,48 @@ def run_plane(data_plane, records_per_partition):
         "sink_total": sum(
             i.logic.result_count for i in job.operator_instances("out")
         ),
+        "expected_counts": dict(expected_counts),
+        "expected_total": total,
     }
 
 
-def run_bench(records_per_partition, min_speedup=None):
-    record = run_plane("record", records_per_partition)
-    batch = run_plane("batch", records_per_partition)
-    for key in ("records", "counts", "sink_total"):
-        if batch[key] != record[key]:
+def run_bench(records_per_partition, max_events_per_record=None):
+    drained = run_drain(records_per_partition)
+    total = drained["expected_total"]
+    # The counter emits one row per record it counts.
+    for key, expected in (
+        ("records", total),
+        ("sink_total", total),
+        ("counts", drained["expected_counts"]),
+    ):
+        if drained[key] != expected:
             raise AssertionError(
-                f"planes disagree on {key}: "
-                f"batch={batch[key]!r} record={record[key]!r}"
+                f"{key} differs from the input reference: "
+                f"got {drained[key]!r}, expected {expected!r}"
             )
     result = {
-        "records": batch["records"],
-        "batch": {
-            "wall_seconds": round(batch["wall_seconds"], 3),
-            "records_per_sec": round(batch["records"] / batch["wall_seconds"]),
-            "events": batch["events"],
-        },
-        "record": {
-            "wall_seconds": round(record["wall_seconds"], 3),
-            "records_per_sec": round(record["records"] / record["wall_seconds"]),
-            "events": record["events"],
-        },
-        "speedup": round(record["wall_seconds"] / batch["wall_seconds"], 1),
+        "records": drained["records"],
+        "wall_seconds": round(drained["wall_seconds"], 3),
+        "records_per_sec": round(drained["records"] / drained["wall_seconds"]),
+        "events": drained["events"],
+        "events_per_record": round(drained["events"] / drained["records"], 3),
     }
-    if min_speedup is not None and result["speedup"] < min_speedup:
+    if (
+        max_events_per_record is not None
+        and result["events_per_record"] > max_events_per_record
+    ):
         raise AssertionError(
-            f"batched speedup {result['speedup']}x is below the "
-            f"{min_speedup}x floor"
+            f"{result['events_per_record']} kernel events per record exceeds "
+            f"the {max_events_per_record} ceiling"
         )
     return result
 
 
 def test_engine_throughput(benchmark):
-    """pytest entry: reduced-scale run, count-equivalence assertions only.
+    """pytest entry: reduced-scale run, reference-count assertions only.
 
-    Wall-clock ratios are not asserted here -- shared test runners are too
-    noisy; the perf-smoke CI job owns the speedup floor.
+    Nothing wall-clock is asserted here -- shared test runners are too
+    noisy; the perf-smoke CI job owns the events and wall ceilings.
     """
     from benchmarks.conftest import emit_report, run_once
 
@@ -172,16 +179,16 @@ def main(argv=None):
         help="reduced scale for the perf-smoke job (20k records/partition)",
     )
     parser.add_argument(
-        "--min-speedup",
+        "--max-events-per-record",
         type=float,
         default=None,
-        help="fail if batched/record speedup is below this factor",
+        help="fail if simulation events per drained record exceed this",
     )
     parser.add_argument(
         "--max-wall",
         type=float,
         default=None,
-        help="fail if the batched leg exceeds this many wall seconds",
+        help="fail if the drain exceeds this many wall seconds",
     )
     parser.add_argument(
         "--output",
@@ -192,7 +199,10 @@ def main(argv=None):
     args = parser.parse_args(argv)
     if args.ci:
         args.records_per_partition = 20_000
-    result = run_bench(args.records_per_partition, min_speedup=args.min_speedup)
+    result = run_bench(
+        args.records_per_partition,
+        max_events_per_record=args.max_events_per_record,
+    )
     print(json.dumps(result, indent=2, sort_keys=True))
     output = args.output
     if output is None and not args.ci:
@@ -200,9 +210,9 @@ def main(argv=None):
     if output is not None:
         output.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
         print(f"[written to {output}]")
-    if args.max_wall is not None and result["batch"]["wall_seconds"] > args.max_wall:
+    if args.max_wall is not None and result["wall_seconds"] > args.max_wall:
         print(
-            f"FAIL: batched wall {result['batch']['wall_seconds']}s "
+            f"FAIL: drain wall {result['wall_seconds']}s "
             f"exceeds ceiling {args.max_wall}s"
         )
         return 1

@@ -45,16 +45,22 @@ def _stable_hash_uncached(value):
 
 _stable_hash_cached = functools.lru_cache(maxsize=1 << 16)(_stable_hash_uncached)
 
+#: Types memoized by :func:`stable_hash`.  The LRU matches arguments by
+#: equality, so a float or a tuple would be served the entry of an equal
+#: value of another type (``1 == 1.0``, ``(0, 0) == (0, 0.0)``); equal
+#: values of these exact types always hash alike.
+_CACHED_TYPES = frozenset((int, str, bytes))
+
 
 def stable_hash(value):
     """A deterministic 32-bit hash for arbitrary repr-able values.
 
     Used for key partitioning where Python's salted ``hash()`` would make
-    key-group assignment differ between runs.  Hashable values (every
-    partitioning key is one) are memoized: the data plane hashes the same
-    keys on every batch, so the LRU turns the hot path into a dict hit.
+    key-group assignment differ between runs.  Int, str and bytes values
+    (the common partitioning keys) are memoized: the data plane hashes the
+    same keys on every batch, so the LRU turns the hot path into a dict
+    hit.  Every other value is hashed directly.
     """
-    try:
+    if type(value) in _CACHED_TYPES:
         return _stable_hash_cached(value)
-    except TypeError:  # unhashable value: compute directly
-        return _stable_hash_uncached(value)
+    return _stable_hash_uncached(value)

@@ -67,7 +67,6 @@ class RhinoConfig:
         handover_retry_attempts=1,
         handover_retry_delay=0.5,
         anti_entropy_interval=None,
-        control_replicas=1,
         pipelined_handover=False,
         handover_chunk_bytes=64 * 1024 * 1024,
         handover_parallel_streams=4,
@@ -113,10 +112,6 @@ class RhinoConfig:
             raise ProtocolError(
                 f"anti_entropy_interval must be > 0 or None, "
                 f"got {anti_entropy_interval}"
-            )
-        if not isinstance(control_replicas, int) or control_replicas < 1:
-            raise ProtocolError(
-                f"control_replicas must be an int >= 1, got {control_replicas}"
             )
         if handover_chunk_bytes <= 0:
             raise ProtocolError(
@@ -178,12 +173,6 @@ class RhinoConfig:
         #: Period of the background reconciler restoring replica
         #: completeness after gray failures (None = disabled).
         self.anti_entropy_interval = anti_entropy_interval
-        #: Coordinator replicas in the quorum control group.  1 (the
-        #: default) keeps the pre-quorum control plane bit-identical:
-        #: either no fault tolerance at all, or the single-standby
-        #: failover of enable_failover().  >= 2 opts a scenario into
-        #: enable_control_group().
-        self.control_replicas = control_replicas
         #: Fluid handover (Megaphone-style pipelined migration).  Off by
         #: default: the all-at-once transfer behind the barrier stays
         #: bit-identical.  On, the transfer phase pre-copies chunked state
@@ -569,14 +558,6 @@ class Rhino:
         self._outstanding_replications = [
             p for p in self._outstanding_replications if p.is_alive
         ]
-
-    @property
-    def replication_in_flight(self):
-        """Number of replication processes still running."""
-        self._outstanding_replications = [
-            p for p in self._outstanding_replications if p.is_alive
-        ]
-        return len(self._outstanding_replications)
 
     # -- reconfigurations (§3.5) ------------------------------------------------------
 

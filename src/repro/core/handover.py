@@ -8,11 +8,7 @@ object tracks acknowledgments, state-transfer rendezvous, and the timing
 breakdown reported in Table 1.
 """
 
-import itertools
-
 from repro.engine.records import AlignedMarker
-
-_handover_ids = itertools.count(1)
 
 
 class HandoverAborted(Exception):
@@ -57,11 +53,6 @@ class HandoverMarker(AlignedMarker):
 
     def __repr__(self):
         return f"<HandoverMarker #{self.handover_id} t={self.timestamp:.3f}>"
-
-
-def next_handover_id():
-    """A fresh monotonically increasing handover id."""
-    return next(_handover_ids)
 
 
 class HandoverReport:

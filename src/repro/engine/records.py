@@ -1,12 +1,10 @@
 """Stream elements: records, record batches, watermarks, and markers.
 
-Since PR 6 the *unit of transfer* on the data plane is the
-:class:`RecordBatch` -- routers partition whole batches, the exchange
-fabric ships one element per batch, and operator instances drain their
-channels batch-at-a-time.  Single :class:`Record` elements remain legal
-stream elements (the record-compat data plane, direct test injection, and
-Megaphone's per-record rerouting all use them), but every internal hot
-path moves batches.
+The :class:`RecordBatch` is the only stream element that carries records:
+routers partition whole batches, the exchange fabric ships one element
+per batch, and operator instances drain their channels batch-at-a-time.
+A channel carries batches and control events (watermarks and aligned
+markers) and nothing else; a bare :class:`Record` is a row of a batch.
 """
 
 import itertools
@@ -196,11 +194,6 @@ class AlignedMarker(ControlEvent):
     def marker_id(self):
         """Unique alignment key of this marker."""
         raise NotImplementedError
-
-    @property
-    def stateful_only(self):
-        """If True, only stateful operators align/act on the marker."""
-        return False
 
 
 class CheckpointBarrier(AlignedMarker):

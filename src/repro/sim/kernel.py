@@ -411,10 +411,6 @@ class Simulator:
 
     # -- execution ----------------------------------------------------
 
-    def peek(self):
-        """Time of the next event, or ``None`` if the queue is empty."""
-        return self._queue[0][0] if self._queue else None
-
     def step(self):
         """Process one event.  Raises SimulationError on an empty queue."""
         if not self._queue:

@@ -6,6 +6,8 @@ from repro.common.errors import ProtocolError
 from repro.engine.graph import StreamGraph
 from repro.engine.job import Job, JobConfig
 from repro.engine.operators import StatefulCounterLogic
+from repro.engine.partitioning import key_group_of
+from repro.engine.records import Record, RecordBatch
 from repro.baselines import FlinkRuntime, FlinkConfig, Megaphone, MegaphoneConfig
 from repro.baselines.rhinodfs import make_rhinodfs
 from repro.engine.checkpointing import DFSCheckpointStorage
@@ -276,6 +278,34 @@ class TestMegaphone:
         for key, _t, value, _w in job.sink_results("out"):
             finals[key] = max(finals.get(key, 0), value)
         assert finals == expected_counts(240)
+
+    def test_in_flight_record_of_migrated_bin_is_rerouted_once(self):
+        env, job, megaphone = self.make_setup()
+        env.run(until=0.5)
+        num_groups = job.config.num_key_groups
+        moved = {
+            group
+            for lo, hi in job.assignments["count"].ranges_of(0)
+            for group in range(lo, hi)
+        }
+        env.sim.run(until=megaphone.migrate("count", [(0, 1, 1.0)]))
+        origin = job.instance("count", 0)
+        target = job.instance("count", 1)
+        key = next(
+            k for k in (f"late-{i}" for i in range(1000))
+            if key_group_of(k, num_groups) in moved
+        )
+        processed = (origin.records_processed, target.records_processed)
+        # A record routed to the origin before its bin moved: the origin no
+        # longer owns the group and hands the record to the new owner.
+        record = Record(key, env.sim.now, nbytes=8)
+        origin._queue.put(("batch", None, RecordBatch([record])))
+        env.run(until=env.sim.now + 1.0)
+        assert origin.records_processed == processed[0]
+        assert origin.records_misrouted == 0
+        assert target.records_processed == processed[1] + 1
+        outputs = [row for row in job.sink_results("out") if row[0] == key]
+        assert [row[2] for row in outputs] == [1]
 
     def test_migration_moves_all_origin_state(self):
         env, job, megaphone = self.make_setup()

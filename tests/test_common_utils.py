@@ -3,7 +3,12 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.common.rng import derive_seed, make_rng, stable_hash
+from repro.common.rng import (
+    _stable_hash_uncached,
+    derive_seed,
+    make_rng,
+    stable_hash,
+)
 from repro.common.tables import render_series, render_table
 from repro.common.units import (
     GB,
@@ -114,3 +119,9 @@ class TestRng:
     @given(st.integers())
     def test_stable_hash_integers(self, value):
         assert stable_hash(value) == stable_hash(value)
+
+    def test_stable_hash_cache_is_type_exact(self):
+        # Equal values of different types must not share a memoized hash:
+        # the result may not depend on what the process hashed before.
+        for value in (1, 1.0, (0, 0), (0, 0.0)):
+            assert stable_hash(value) == _stable_hash_uncached(value), value

@@ -7,7 +7,7 @@ primary replaying a buffered ``reconfigure()`` is a no-op), the journal
 linearizability checker itself (known-good and deliberately broken
 histories), torn-tail truncation on verified journal reads, DFS epoch
 fencing, the majority-safety fault-plan validation error paths, and the
-``control_replicas=1`` default-off guarantees.  The ``chaos``-marked
+default-off guarantees of ``run_chaos`` without ``control_replicas``.  The ``chaos``-marked
 25-seed minority-failure sweeps at the bottom are the acceptance runs CI
 executes separately.
 """
@@ -21,11 +21,9 @@ import pytest
 from repro.cluster import Cluster
 from repro.common.errors import (
     CorruptionError,
-    ProtocolError,
     SimulationError,
     StaleEpochError,
 )
-from repro.core.api import RhinoConfig
 from repro.core.journal import ControlJournal
 from repro.experiments.scenarios.chaos import (
     CONTROL_SWEEP_PHASES,
@@ -538,13 +536,6 @@ class TestControlFaultPlanValidation:
 
 
 class TestDefaultOff:
-    def test_default_config_is_unreplicated(self):
-        assert RhinoConfig().control_replicas == 1
-
-    def test_zero_replicas_rejected(self):
-        with pytest.raises(ProtocolError, match="control_replicas"):
-            RhinoConfig(control_replicas=0)
-
     def test_unreplicated_run_has_no_control_stats(self):
         result = run_chaos(7)
         assert result.ok

@@ -92,10 +92,11 @@ class ExchangeFabric:
         self.replay_epoch = 0
 
     def send(self, channel, element):
-        """Enqueue ``element`` on ``channel``; returns an event to yield on.
+        """Enqueue ``element`` on ``channel``.
 
-        The event is already triggered when there is credit; it blocks the
-        producer when the pair's in-flight bytes exceed the credit window.
+        Returns None when the producer may go on, or an event to yield on
+        when it must block: the pair's in-flight bytes exceed the credit
+        window, or a same-machine channel is full.
         """
         src = channel.src_machine
         dst = channel.dst_machine
@@ -103,11 +104,9 @@ class ExchangeFabric:
             # Receiver is gone: the element is lost in flight (upstream
             # backup replays it after recovery).
             self.dropped_elements += element_record_count(element)
-            done = self.sim.event()
-            done.succeed()
-            return done
+            return None
         if src is dst:
-            return channel.store.put(element)
+            return channel.store.offer(element)
         self._pending.setdefault(src, {}).setdefault(dst, []).append(
             (channel, element)
         )
@@ -117,11 +116,10 @@ class ExchangeFabric:
             self._agents[src] = self.sim.process(
                 self._agent(src), name=f"fabric:{src.name}"
             )
-        done = self.sim.event()
         if self._pending_bytes[pair] <= self.credit_bytes:
-            done.succeed()
-        else:
-            self._credit_waiters.setdefault(pair, []).append(done)
+            return None
+        done = self.sim.event()
+        self._credit_waiters.setdefault(pair, []).append(done)
         return done
 
     def _agent(self, src):
@@ -227,7 +225,9 @@ class ExchangeFabric:
                     return
         for channel, element in items:
             if channel.dst_machine is not None and channel.dst_machine.alive:
-                yield channel.store.put(element)
+                blocked = channel.store.offer(element)
+                if blocked is not None:
+                    yield blocked
             else:
                 self.dropped_elements += element_record_count(element)
         self._release_credit(src, dst, nbytes)
@@ -321,7 +321,8 @@ class Router:
         self._forward_target = None
 
     def emit_batch(self, batch):
-        """Route a :class:`RecordBatch`; returns credit events to yield on.
+        """Route a :class:`RecordBatch`; returns one :meth:`ExchangeFabric.send`
+        result per sub-batch (None, or an event the producer must yield on).
 
         Hash edges partition the batch by key group in a single pass over
         its rows and ship one sub-batch per distinct consumer, each
@@ -373,7 +374,8 @@ class Router:
         return channel
 
     def broadcast(self, control_event):
-        """Send a control event on every channel; returns events to wait on."""
+        """Send a control event on every channel; returns the
+        :meth:`ExchangeFabric.send` results (None, or an event to yield on)."""
         return [
             self.fabric.send(channel, control_event)
             for _index, channel in sorted(self.channels.items())

@@ -2,11 +2,13 @@
 
 Each logical operator runs as ``parallelism`` instances.  An instance:
 
-* reads elements from its inbound channels through per-channel reader
-  processes feeding one gate queue (batches keep per-channel FIFO order);
-  record *batches* are the unit of transfer -- the instance drains its
-  channels batch-at-a-time and calls ``OperatorLogic.process_batch`` once
-  per batch; any other non-control element on a channel is an error;
+* takes elements off its inbound channels through a push-based input
+  gate: each channel's store hands every element to the gate as it
+  arrives, which queues batches (keeping per-channel FIFO order) on one
+  instance queue and folds watermarks without any kernel event; record
+  *batches* are the unit of transfer -- the instance drains its queue
+  batch-at-a-time and calls ``OperatorLogic.process_batch`` once per
+  batch; any other non-control element on a channel is an error;
 * performs **epoch alignment** for :class:`AlignedMarker` subclasses --
   when a marker arrives on one channel, that channel is blocked (records
   buffer in the channel) until the marker has arrived on every inbound
@@ -17,6 +19,8 @@ Each logical operator runs as ``parallelism`` instances.  An instance:
 Rhino's handover protocol plugs in through ``job.marker_handlers``: the
 engine aligns any marker type, then dispatches to the registered handler.
 """
+
+from functools import partial
 
 from repro.common.errors import EngineError
 from repro.common.ranges import RangeSet
@@ -171,7 +175,7 @@ class InstanceBase:
         for router in self.output_routers:
             waits.extend(router.emit_batch(batch))
         for wait in waits:
-            if not wait.triggered:
+            if wait is not None and not wait.triggered:
                 yield wait
 
     def emit(self, records):
@@ -186,7 +190,7 @@ class InstanceBase:
         for router in self.output_routers:
             waits.extend(router.broadcast(control_event))
         for wait in waits:
-            if not wait.triggered:
+            if wait is not None and not wait.triggered:
                 yield wait
 
     def start(self):
@@ -228,7 +232,6 @@ class OperatorInstance(InstanceBase):
         self.logic = op.logic_factory()
         self.inputs = []
         self._queue = Store(sim)  # unbounded; backpressure lives in channels
-        self._readers = {}
         self._channel_watermarks = {}
         self._watermark = float("-inf")
         self._alignments = {}
@@ -261,14 +264,11 @@ class OperatorInstance(InstanceBase):
     # -- inputs -----------------------------------------------------------
 
     def attach_input(self, channel):
-        """Wire an inbound channel and start reading it."""
+        """Wire an inbound channel: its store pushes every element it
+        receives through this instance's input gate."""
         self.inputs.append(channel)
         self._channel_watermarks[channel] = float("-inf")
-        reader = self.sim.process(
-            self._reader(channel), name=f"reader:{channel.name}"
-        )
-        self.machine.register_process(reader)
-        self._readers[channel] = reader
+        channel.store.push_to(partial(self._gate, channel))
 
     def detach_input(self, channel):
         """Remove a channel (its upstream died or was rewired away)."""
@@ -276,52 +276,48 @@ class OperatorInstance(InstanceBase):
             return
         self.inputs.remove(channel)
         self._channel_watermarks.pop(channel, None)
-        reader = self._readers.pop(channel, None)
-        if reader is not None and reader.is_alive:
-            reader.defused = True
-            reader.interrupt("detached")
+        channel.store.push_to(None)
         for alignment in self._alignments.values():
             alignment["pending"].discard(channel)
             # The detach may complete an in-flight alignment.
             if not alignment["pending"] and not alignment["enqueued"]:
                 alignment["enqueued"] = True
-                self._queue.put(("marker", None, alignment["marker"]))
+                self._queue.offer(("marker", None, alignment["marker"]))
 
-    def _reader(self, channel):
-        try:
-            while True:
-                element = yield channel.store.get()
-                if isinstance(element, RecordBatch):
-                    yield self._queue.put(("batch", channel, element))
-                elif isinstance(element, AlignedMarker):
-                    release = self._marker_arrived(channel, element)
-                    if release is not None:
-                        yield release  # buffer this channel until aligned
-                elif isinstance(element, Watermark):
-                    self._channel_watermarks[channel] = max(
-                        self._channel_watermarks[channel], element.timestamp
-                    )
-                    self._maybe_advance_watermark()
-                else:
-                    raise EngineError(
-                        f"{self.instance_id}: {type(element).__name__} on"
-                        f" {channel.name} is neither a batch nor a control event"
-                    )
-        except (Interrupt, StoreClosed):
-            return
+    def _gate(self, channel, element):
+        """Take one element off ``channel`` the moment it arrives.
+
+        A batch joins the instance queue and a watermark folds into the
+        channel minimum.  A marker returns its alignment's release event:
+        the channel's store holds everything behind it until the marker
+        is acted upon.  Anything else is queued as invalid, so the error
+        is raised inside this instance's process, not in the producer's.
+        """
+        if isinstance(element, RecordBatch):
+            self._queue.offer(("batch", channel, element))
+        elif isinstance(element, AlignedMarker):
+            return self._marker_arrived(channel, element)
+        elif isinstance(element, Watermark):
+            watermarks = self._channel_watermarks
+            if element.timestamp > watermarks[channel]:
+                watermarks[channel] = element.timestamp
+            self._maybe_advance_watermark()
+        else:
+            self._queue.offer(("invalid", channel, element))
+        return None
 
     def _maybe_advance_watermark(self):
         candidate = min(self._channel_watermarks.values())
         if candidate > self._watermark:
             self._watermark = candidate
-            self._queue.put(("watermark", None, Watermark(candidate)))
+            self._queue.offer(("watermark", None, Watermark(candidate)))
 
     def cancel_alignment(self, marker_id):
         """Abort an in-flight alignment (its checkpoint was aborted).
 
         Late copies of the marker are swallowed; blocked channels resume.
         Without this, barriers of a checkpoint whose participant died
-        would block channel readers forever.
+        would hold their channels forever.
         """
         self._cancelled_markers.add(marker_id)
         alignment = self._alignments.pop(marker_id, None)
@@ -343,7 +339,7 @@ class OperatorInstance(InstanceBase):
         alignment["pending"].discard(channel)
         if not alignment["pending"] and not alignment["enqueued"]:
             alignment["enqueued"] = True
-            self._queue.put(("marker", None, marker))
+            self._queue.offer(("marker", None, marker))
         return alignment["release"]
 
     # -- main loop ------------------------------------------------------------
@@ -366,6 +362,11 @@ class OperatorInstance(InstanceBase):
                 yield from self._handle_watermark(payload)
             elif kind == "marker":
                 yield from self._handle_marker(payload)
+            else:
+                raise EngineError(
+                    f"{self.instance_id}: {type(payload).__name__} on"
+                    f" {channel.name} is neither a batch nor a control event"
+                )
 
     def _handle_batch(self, channel, batch):
         """Drain one inbound batch: filter, process, charge CPU once.
@@ -553,6 +554,7 @@ class SourceInstance(InstanceBase):
         super().__init__(sim, job, op, index, machine)
         self.cursor = cursor
         self.control = Store(sim)
+        self._control_wait = None
         self.max_poll_records = max_poll_records
         self.watermark_interval = watermark_interval
         self.idle_timeout = idle_timeout
@@ -576,7 +578,7 @@ class SourceInstance(InstanceBase):
 
     def send_command(self, kind, payload=None):
         """Enqueue a control-plane command for the source loop."""
-        self.control.put(SourceCommand(kind, payload))
+        self.control.offer(SourceCommand(kind, payload))
 
     def _run(self):
         self.running = True
@@ -588,7 +590,7 @@ class SourceInstance(InstanceBase):
                     return
             if self.paused:
                 yield self.sim.any_of(
-                    [self.control.when_nonempty(), self.sim.timeout(self.idle_timeout)]
+                    [self._control_waiter(), self.sim.timeout(self.idle_timeout)]
                 )
                 continue
             batch = self.cursor.try_poll(self.max_poll_records)
@@ -599,10 +601,22 @@ class SourceInstance(InstanceBase):
                 yield self.sim.any_of(
                     [
                         self.cursor.partition.wait_for_data(self.cursor.offset),
-                        self.control.when_nonempty(),
+                        self._control_waiter(),
                         self.sim.timeout(self.idle_timeout),
                     ]
                 )
+
+    def _control_waiter(self):
+        """The event that fires on the next control command.
+
+        An idle tick that ends on its timeout leaves its waiter pending in
+        the control store; the next tick reuses it instead of stacking a
+        new one per tick.
+        """
+        waiter = self._control_wait
+        if waiter is None or waiter.triggered:
+            waiter = self._control_wait = self.control.when_nonempty()
+        return waiter
 
     def _handle_command(self, command):
         if command.kind == SourceCommand.CHECKPOINT:

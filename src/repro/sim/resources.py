@@ -1,8 +1,9 @@
 """Blocking resources for simulation processes.
 
 * :class:`Resource` -- a counting semaphore (e.g. CPU slots of a machine).
-* :class:`Store` -- a bounded FIFO queue with blocking put/get (the
-  foundation of inter-operator channels).
+* :class:`Store` -- a bounded FIFO queue with blocking put/get, or with
+  its items pushed straight to a consumer callback (the foundation of
+  inter-operator channels).
 """
 
 from collections import deque
@@ -69,7 +70,11 @@ class Store:
 
     ``put`` returns an event that succeeds once the item is enqueued (which
     may block while the store is at capacity); ``get`` returns an event that
-    succeeds with the oldest item.
+    succeeds with the oldest item.  ``offer`` enqueues without an event
+    unless the producer has to block.
+
+    A store given a consumer by :meth:`push_to` has no getters: each item
+    goes straight to the consumer when it is offered.
     """
 
     def __init__(self, sim, capacity=float("inf")):
@@ -82,6 +87,10 @@ class Store:
         self._putters = deque()  # (event, item)
         self._nonempty_waiters = []
         self._closed = False
+        #: Push consumer (see :meth:`push_to`), and the event it asked the
+        #: store to hold its later items on.
+        self._consumer = None
+        self._hold = None
 
     def __len__(self):
         return len(self.items)
@@ -93,18 +102,35 @@ class Store:
 
     def put(self, item):
         """Enqueue ``item``; the returned event succeeds when accepted."""
+        event = self.offer(item)
+        if event is None:
+            event = self.sim.event()
+            event.succeed()
+        return event
+
+    def offer(self, item):
+        """Enqueue ``item`` without scheduling an event for it.
+
+        Returns None when the store accepts the item now, or -- the store
+        being full -- the pending put event to yield on; the item is
+        enqueued when that event fires.  :meth:`put` is the same hand-off
+        with an event to wait on either way.
+        """
         if self._closed:
-            raise SimulationError("put() on a closed Store")
-        event = self.sim.event()
+            raise SimulationError("put on a closed Store")
         if not self.is_full or self._getters:
             self._deliver(item)
-            event.succeed()
-        else:
-            self._putters.append((event, item))
-        self._notify_nonempty()
+            self._notify_nonempty()
+            return None
+        event = self.sim.event()
+        self._putters.append((event, item))
         return event
 
     def _deliver(self, item):
+        if self._consumer is not None and self._hold is None:
+            # A pushing store holds no items while its consumer takes them.
+            self._push(item)
+            return
         while self._getters:
             getter = self._getters.popleft()
             if getter.triggered:
@@ -133,6 +159,37 @@ class Store:
                 continue
             self.items.append(item)
             putter.succeed()
+
+    def push_to(self, consumer):
+        """Hand every item to ``consumer(item)`` as it arrives.
+
+        The consumer returns None once it has taken the item, or an event:
+        the store then holds the items after it -- against its capacity,
+        so a full store blocks producers as usual -- until that event
+        fires, and hands them on in order.  Items already queued are
+        handed on now.  ``push_to(None)`` stops delivery; later items
+        queue for ``get``.
+        """
+        self._consumer = consumer
+        self._pump()
+
+    def _push(self, item):
+        hold = self._consumer(item)
+        if hold is not None and hold.callbacks is not None:
+            self._hold = hold
+            hold.callbacks.append(self._release)
+
+    def _release(self, _event):
+        self._hold = None
+        self._pump()
+
+    def _pump(self):
+        """Hand queued items to the consumer until it holds or none remain."""
+        items = self.items
+        while items and self._hold is None and self._consumer is not None:
+            item = items.popleft()
+            self._admit_putters()
+            self._push(item)
 
     def when_nonempty(self):
         """Event that fires once the store holds at least one item.

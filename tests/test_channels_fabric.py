@@ -57,7 +57,7 @@ class TestLocalDelivery:
         dst = FakeInstance("dst[0]", 0, machines[0])
         channel = Channel(sim, "c", src, dst)
         done = fabric.send(channel, batch_of(Record("k", 0.0, nbytes=100)))
-        assert done.triggered
+        assert done is None
         assert len(channel.store) == 1
 
     def test_remote_send_delivers_after_flush(self, env):
@@ -90,7 +90,7 @@ class TestLocalDelivery:
         done = fabric.send(
             channel, batch_of(Record("a", 0.0, nbytes=10), Record("b", 0.0, nbytes=10))
         )
-        assert done.triggered
+        assert done is None
         # Drop accounting counts the records inside the batch, not elements.
         assert fabric.dropped_elements == 2
 
@@ -135,7 +135,7 @@ class TestCredit:
         channel = Channel(sim, "c", src, dst, capacity_batches=1000)
         first = fabric.send(channel, batch_of(Record("a", 0.0, nbytes=100)))
         second = fabric.send(channel, batch_of(Record("b", 0.0, nbytes=100)))
-        assert first.triggered
+        assert first is None
         assert not second.triggered  # over the credit window
         sim.run(until=2.0)
         assert second.triggered  # flushed, credit released
@@ -151,7 +151,30 @@ class TestCredit:
         done = fabric.send(
             channel, batch_of(*[Record(f"k{i}", 0.0, nbytes=50) for i in range(3)])
         )
-        assert done.triggered
+        assert done is None
+
+    def test_sends_that_need_no_wait_schedule_no_event(self, env):
+        sim, _cluster, machines, fabric = env
+        src = FakeInstance("src[0]", 0, machines[0])
+        local = Channel(sim, "local", src, FakeInstance("l[0]", 0, machines[0]))
+        remote = Channel(sim, "remote", src, FakeInstance("r[0]", 0, machines[1]))
+        fabric.send(remote, batch_of(Record("a", 0.0, nbytes=10)))  # spawns the agent
+        scheduled = sim._seq
+        assert fabric.send(local, batch_of(Record("b", 0.0, nbytes=10))) is None
+        assert fabric.send(remote, batch_of(Record("c", 0.0, nbytes=10))) is None
+        assert sim._seq == scheduled
+        assert len(local.store) == 1
+
+    def test_full_local_channel_blocks_the_producer(self, env):
+        sim, _cluster, machines, fabric = env
+        src = FakeInstance("src[0]", 0, machines[0])
+        dst = FakeInstance("dst[0]", 0, machines[0])
+        channel = Channel(sim, "c", src, dst, capacity_batches=1)
+        assert fabric.send(channel, batch_of(Record("a", 0.0))) is None
+        blocked = fabric.send(channel, batch_of(Record("b", 0.0)))
+        assert blocked is not None and not blocked.triggered
+        channel.store.get()
+        assert blocked.triggered
 
     def test_default_capacity_is_batch_denominated(self, env):
         sim, _cluster, machines, _fabric = env

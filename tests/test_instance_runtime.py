@@ -4,7 +4,8 @@ import pytest
 
 from repro.common.errors import EngineError
 from repro.engine.graph import StreamGraph
-from repro.engine.instance import ReplayFilter
+from repro.engine.channels import DEFAULT_CAPACITY_BATCHES
+from repro.engine.instance import ReplayFilter, SourceCommand
 from repro.engine.operators import PassThroughLogic, StatefulCounterLogic
 from repro.engine.partitioning import key_group_of
 from repro.engine.records import (
@@ -141,6 +142,61 @@ class TestAlignment:
         assert not instance._alignments
 
 
+    def test_marker_holds_its_channel_while_others_flow(self):
+        """A's batches queue behind its barrier, B's keep being processed,
+        and A's producer blocks once the held elements fill the channel."""
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        env.run(until=1.0)
+        instance = job.operator_instances("op")[0]
+        channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
+        channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
+        barrier = CheckpointBarrier(5, env.sim.now)
+
+        def batch(key):
+            return RecordBatch([Record(key, env.sim.now, nbytes=8)])
+
+        assert channel_a.store.offer(barrier) is None
+        for i in range(DEFAULT_CAPACITY_BATCHES):
+            assert channel_a.store.offer(batch(f"a{i}")) is None
+        blocked = channel_a.store.offer(batch("a-last"))
+        assert blocked is not None
+        channel_b.store.offer(batch("b0"))
+        env.run(until=2.0)
+        assert instance.records_processed == 1  # only B's batch
+        assert not blocked.triggered
+        assert len(channel_a.store) == DEFAULT_CAPACITY_BATCHES
+        channel_b.store.offer(barrier)
+        env.run(until=3.0)
+        assert blocked.triggered
+        assert instance.records_processed == 2 + DEFAULT_CAPACITY_BATCHES
+        assert len(channel_a.store) == 0
+
+    def test_detach_during_alignment_stops_delivery(self):
+        env = EngineEnv()
+        env.topic("a", 1)
+        env.topic("b", 1)
+        job = two_source_job(env, StatefulCounterLogic, stateful=True).start()
+        env.run(until=1.0)
+        instance = job.operator_instances("op")[0]
+        channel_a = next(c for c in instance.inputs if "a[0]" in c.name)
+        channel_b = next(c for c in instance.inputs if "b[0]" in c.name)
+        channel_a.store.put(CheckpointBarrier(4, env.sim.now))
+        channel_a.store.put(RecordBatch([Record("held", env.sim.now, nbytes=8)]))
+        env.run(until=1.5)
+        assert instance.records_processed == 0
+        instance.detach_input(channel_b)
+        env.run(until=2.5)
+        assert not instance._alignments
+        assert instance.records_processed == 1  # A released
+        channel_b.store.put(RecordBatch([Record("late", env.sim.now, nbytes=8)]))
+        env.run(until=3.5)
+        assert instance.records_processed == 1
+        assert len(channel_b.store) == 1
+
+
 class TestStrictReader:
     def test_bare_record_on_a_channel_is_rejected(self):
         """Records travel in batches; a bare one is a producer bug."""
@@ -210,6 +266,20 @@ class TestSourcePause:
         source.paused = False
         env.run(until=4.0)
         assert source.records_emitted == 10
+
+    def test_idle_source_keeps_one_control_waiter(self):
+        env = EngineEnv()
+        env.topic("events", 1)
+        graph = StreamGraph("idle")
+        graph.source("src", topic="events", parallelism=1)
+        graph.sink("out", inputs=[("src", "forward")])
+        job = env.job(graph).start()
+        source = job.source_instances()[0]
+        env.run(until=5.0)  # a hundred idle ticks
+        assert len(source.control._nonempty_waiters) <= 1
+        source.send_command(SourceCommand.STOP)
+        env.run(until=5.01)
+        assert not source.running
 
     def test_source_replay_filter_drops_at_ingest(self):
         env = EngineEnv()

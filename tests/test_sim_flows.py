@@ -295,3 +295,21 @@ class TestIncrementalEngine:
             logs.append([(e.ok, type(e._exception).__name__) for e in events])
         assert logs[0] == logs[1]
         assert logs[0] == [(False, "PortFailed")] * 3
+
+
+class TestCompletion:
+    def test_finished_flow_leaves_no_process(self, sim, scheduler):
+        port = Port("nic", 100.0)
+        event = scheduler.transfer(100.0, [port], latency=0.5)
+        sim.run(until=1.25)  # bytes drained at 1.0, latency pending
+        assert not event.triggered
+        assert sim._alive_procs == {}
+        sim.run(until=event)
+        assert sim.now == pytest.approx(1.5)
+        assert sim._alive_procs == {}
+
+    def test_zero_byte_transfer_spawns_no_process(self, sim, scheduler):
+        event = scheduler.transfer(0, [], latency=0.0)
+        assert sim._alive_procs == {}
+        sim.run()
+        assert event.value == 0

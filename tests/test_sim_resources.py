@@ -174,3 +174,83 @@ class TestStore:
         process = sim.process(consumer())
         sim.run()
         assert process.value == "leftover"
+
+
+class TestStoreOffer:
+    def test_offer_to_non_full_store_schedules_no_event(self, sim):
+        store = Store(sim, capacity=2)
+        assert store.offer("a") is None
+        assert store.offer("b") is None
+        assert sim._queue == []
+        assert list(store.items) == ["a", "b"]
+
+    def test_offer_to_full_store_returns_pending_put(self, sim):
+        store = Store(sim, capacity=1)
+        store.offer("a")
+        blocked = store.offer("b")
+        assert blocked is not None and not blocked.triggered
+        assert list(store.items) == ["a"]
+        store.get()
+        assert blocked.triggered
+        assert list(store.items) == ["b"]
+
+    def test_offer_hands_item_to_waiting_getter(self, sim):
+        store = Store(sim, capacity=1)
+        got = store.get()
+        assert store.offer("x") is None
+        sim.run()
+        assert got.value == "x"
+        assert len(store) == 0
+
+
+class TestStorePush:
+    def test_items_go_straight_to_consumer(self, sim):
+        store = Store(sim, capacity=1)
+        taken = []
+        store.push_to(taken.append)
+        for item in range(3):
+            assert store.offer(item) is None
+        assert taken == [0, 1, 2]
+        assert len(store) == 0
+        assert sim._queue == []
+
+    def test_hold_buffers_until_release_then_blocks_producer(self, sim):
+        store = Store(sim, capacity=2)
+        taken = []
+        release = sim.event()
+
+        def consumer(item):
+            taken.append(item)
+            return release if item == "hold" else None
+
+        store.push_to(consumer)
+        store.offer("hold")
+        assert store.offer(1) is None
+        assert store.offer(2) is None
+        blocked = store.offer(3)
+        assert blocked is not None and not blocked.triggered
+        assert taken == ["hold"]
+        release.succeed()
+        sim.run()
+        assert taken == ["hold", 1, 2, 3]
+        assert blocked.triggered
+        assert len(store) == 0
+
+    def test_detached_consumer_leaves_items_queued(self, sim):
+        store = Store(sim)
+        taken = []
+        store.push_to(taken.append)
+        store.offer("a")
+        store.push_to(None)
+        store.offer("b")
+        assert taken == ["a"]
+        assert list(store.items) == ["b"]
+
+    def test_push_to_hands_on_queued_items(self, sim):
+        store = Store(sim)
+        store.offer("a")
+        store.offer("b")
+        taken = []
+        store.push_to(taken.append)
+        assert taken == ["a", "b"]
+        assert len(store) == 0
